@@ -18,25 +18,23 @@
 //! rather than a global snapshot.
 //!
 //! With [`ShardedFile::enable_optimistic_reads`] the read path goes one
-//! step further: each shard publishes an epoch-validated [`ReadView`]
-//! generation at every command boundary, and point gets / range
-//! collections validate against it **without touching the shard lock at
-//! all** — falling back to the lock only after a lost race. Readers then
-//! scale independently of writer lock hold times (see `exp_concurrent_reads`).
+//! step further: each shard publishes a [`ReadView`] generation at every
+//! command boundary, and point gets / range collections read it **without
+//! touching the shard lock at all**. Readers then scale independently of
+//! writer lock hold times (see `exp_concurrent_reads`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod tel;
 
-use std::ops::Bound;
 use std::sync::OnceLock;
 
 use parking_lot::RwLock;
 
 use dsf_core::{
-    Command, CommandOutcome, DenseFile, DenseFileConfig, DsfError, InvariantViolation, OpStats,
-    ReadView,
+    count_locked_read, Command, CommandOutcome, DenseFile, DenseFileConfig, DsfError,
+    InvariantViolation, OpStats, ReadView,
 };
 
 /// How keys map to shards: `shard i` owns `[i·stripe, (i+1)·stripe)` with
@@ -84,10 +82,10 @@ impl Router {
 pub struct ShardedFile<V> {
     router: Router,
     shards: Vec<RwLock<DenseFile<u64, V>>>,
-    /// Per-shard optimistic [`ReadView`] handles, populated by
+    /// Per-shard [`ReadView`] handles, populated by
     /// [`enable_optimistic_reads`](Self::enable_optimistic_reads). Point
-    /// gets and range collections consult these first and only fall back to
-    /// the shard lock on a lost validation race.
+    /// gets and range collections read these instead of taking the shard
+    /// lock.
     views: Vec<OnceLock<ReadView<u64, V>>>,
     /// Per-shard `dsf_shard_commands_total{shard="i"}` handles, registered
     /// at construction so the hot path only bumps a relaxed atomic.
@@ -320,15 +318,15 @@ impl<V> ShardedFile<V> {
             .collect()
     }
 
-    /// Enables lock-free optimistic reads on every shard (idempotent).
+    /// Enables the read view on every shard (idempotent).
     ///
     /// Each shard's file starts publishing a [`ReadView`] generation at
     /// every command boundary; [`get`](Self::get),
     /// [`collect_range`](Self::collect_range),
     /// [`par_collect_range`](Self::par_collect_range) and
-    /// [`par_scan`](Self::par_scan) then validate against the view first
-    /// and take the shard lock only after a lost race. Takes each shard's
-    /// write lock once to seed the initial generation.
+    /// [`par_scan`](Self::par_scan) then read the generation and never take
+    /// the shard lock. Takes each shard's write lock once to seed the
+    /// initial generation.
     pub fn enable_optimistic_reads(&self)
     where
         V: Clone,
@@ -347,27 +345,48 @@ impl<V> ShardedFile<V> {
         self.views.iter().all(|v| v.get().is_some())
     }
 
-    /// The optimistic [`ReadView`] of one shard, when enabled (tests,
-    /// benches).
+    /// The [`ReadView`] of one shard, when enabled (tests, benches).
     pub fn shard_view(&self, shard: usize) -> Option<ReadView<u64, V>> {
         self.views[shard].get().cloned()
     }
 
-    /// Looks a key up — optimistic-first: a validated read against the
-    /// shard's published [`ReadView`] generation costs no lock at all; only
-    /// a lost race (or views not enabled) falls back to the shard read
+    /// Looks a key up: from the shard's published [`ReadView`] generation
+    /// when views are enabled (no shard lock), else under the shard read
     /// lock.
     pub fn get(&self, key: &u64) -> Option<V>
     where
         V: Clone,
     {
         let s = self.router.shard_of(*key);
-        if let Some(view) = self.views[s].get() {
-            if let Ok(hit) = view.try_get(key) {
-                return hit;
+        match self.views[s].get() {
+            Some(view) => view.get(key),
+            None => {
+                count_locked_read();
+                self.shards[s].read().get(key).cloned()
             }
         }
-        self.shards[s].read().get(key).cloned()
+    }
+
+    /// Up to `limit` records of shard `s` with keys in `[from, hi]`: from
+    /// its generation when views are enabled, else under its read lock
+    /// into a buffer pre-sized by an exact rank-based count.
+    fn collect_shard(&self, s: usize, from: u64, hi: u64, limit: usize) -> Vec<(u64, V)>
+    where
+        V: Clone,
+    {
+        if let Some(view) = self.views[s].get() {
+            return view.collect_range(from..=hi, limit);
+        }
+        count_locked_read();
+        let shard = self.shards[s].read();
+        let mut part = Vec::with_capacity(Self::count_in(&shard, from, hi).min(limit));
+        part.extend(
+            shard
+                .range(from..=hi)
+                .take(limit)
+                .map(|(k, v)| (*k, v.clone())),
+        );
+        part
     }
 
     /// Whether a key is present.
@@ -399,51 +418,32 @@ impl<V> ShardedFile<V> {
         thru_hi.saturating_sub(shard.rank(&from)) as usize
     }
 
-    /// Collects up to `limit` records with keys in `[lo, hi]`, streaming
-    /// into one output buffer that is pre-sized per shard (an exact
-    /// rank-based count taken under the same read lock the records stream
-    /// under, so the buffer never reallocates mid-shard).
+    /// Collects up to `limit` records with keys in `[lo, hi]`, visiting
+    /// shards in key order and stopping as soon as `limit` is met.
     pub fn collect_range(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, V)>
     where
         V: Clone,
     {
         let mut out: Vec<(u64, V)> = Vec::new();
-        let first = self.router.shard_of(lo);
-        let last = self.router.shard_of(hi);
-        'outer: for s in first..=last {
-            let from = lo.max(self.router.shard_start(s));
-            // Optimistic-first: a validated view collection costs no lock;
-            // per-shard consistency is unchanged (the locked path already
-            // releases between shards).
-            if let Some(view) = self.views[s].get() {
-                if let Ok(part) = view.try_collect_range(Bound::Included(from), Bound::Included(hi))
-                {
-                    for kv in part {
-                        if out.len() >= limit {
-                            break 'outer;
-                        }
-                        out.push(kv);
-                    }
-                    continue;
-                }
+        for s in self.router.shard_of(lo)..=self.router.shard_of(hi) {
+            if out.len() >= limit {
+                break;
             }
-            let shard = self.shards[s].read();
-            let expect = Self::count_in(&shard, from, hi).min(limit - out.len());
-            out.reserve(expect);
-            for (k, v) in shard.range(from..=hi) {
-                if out.len() >= limit {
-                    break 'outer;
-                }
-                out.push((*k, v.clone()));
+            let from = lo.max(self.router.shard_start(s));
+            let part = self.collect_shard(s, from, hi, limit - out.len());
+            if out.is_empty() {
+                out = part;
+            } else {
+                out.extend(part);
             }
         }
         out
     }
 
     /// Parallel [`collect_range`](Self::collect_range): every shard the
-    /// range intersects scans concurrently on its own thread (each under
-    /// its own read lock), and the per-shard results — already sorted and
-    /// key-disjoint by construction — are merged in shard order.
+    /// range intersects is collected concurrently on its own thread, and
+    /// the per-shard results — already sorted and key-disjoint by
+    /// construction — are merged in shard order.
     ///
     /// Same consistency contract as the sequential version (per-shard, not
     /// a global snapshot). `limit` is applied to the merged stream, so at
@@ -452,31 +452,12 @@ impl<V> ShardedFile<V> {
     where
         V: Clone + Send + Sync,
     {
-        let first = self.router.shard_of(lo);
-        let last = self.router.shard_of(hi);
         let parts: Vec<Vec<(u64, V)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (first..=last)
+            let handles: Vec<_> = (self.router.shard_of(lo)..=self.router.shard_of(hi))
                 .map(|s| {
                     scope.spawn(move || {
                         let from = lo.max(self.router.shard_start(s));
-                        if let Some(view) = self.views[s].get() {
-                            if let Ok(mut part) =
-                                view.try_collect_range(Bound::Included(from), Bound::Included(hi))
-                            {
-                                part.truncate(limit);
-                                return part;
-                            }
-                        }
-                        let shard = self.shards[s].read();
-                        let expect = Self::count_in(&shard, from, hi).min(limit);
-                        let mut part = Vec::with_capacity(expect);
-                        for (k, v) in shard.range(from..=hi) {
-                            if part.len() >= limit {
-                                break;
-                            }
-                            part.push((*k, v.clone()));
-                        }
-                        part
+                        self.collect_shard(s, from, hi, limit)
                     })
                 })
                 .collect();
@@ -487,17 +468,7 @@ impl<V> ShardedFile<V> {
         });
         // Stripes are contiguous and ascending: concatenation in shard
         // order IS the key-order merge.
-        let total: usize = parts.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(total.min(limit));
-        for part in parts {
-            for kv in part {
-                if out.len() >= limit {
-                    return out;
-                }
-                out.push(kv);
-            }
-        }
-        out
+        parts.into_iter().flatten().take(limit).collect()
     }
 
     /// Parallel [`scan`](Self::scan): gathers each shard's stripe
@@ -1001,23 +972,36 @@ mod tests {
     }
 
     #[test]
-    fn optimistic_reads_fall_back_on_conflict() {
-        let f = file(2);
-        for i in 0..100u64 {
-            f.insert(i * 1000, i).unwrap();
+    fn view_reads_match_locked_reads_from_every_start() {
+        // The same contents with and without views: every get, bounded
+        // collection and parallel collection answers identically, from any
+        // start key (shard boundaries included) and at any limit.
+        let with = file(3);
+        let without = file(3);
+        for i in 0..300u64 {
+            let k = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            with.insert(k, i).unwrap();
+            without.insert(k, i).unwrap();
         }
-        f.enable_optimistic_reads();
-        let before = f.collect_range(0, u64::MAX, usize::MAX);
-        // Poison shard 0's epoch: every optimistic attempt conflicts, and
-        // reads must transparently take the shard lock instead.
-        let view = f.shard_view(0).unwrap();
-        view.poison_epoch_for_test();
-        assert_eq!(f.get(&0), Some(0));
-        assert_eq!(f.get(&1), None);
-        assert_eq!(f.collect_range(0, u64::MAX, usize::MAX), before);
-        assert_eq!(f.par_collect_range(0, u64::MAX, usize::MAX), before);
-        view.unpoison_epoch_for_test();
-        assert_eq!(f.collect_range(0, u64::MAX, usize::MAX), before);
+        with.enable_optimistic_reads();
+        let stripe = u64::MAX / 3 + 1;
+        for lo in [0, 1, stripe - 1, stripe, 2 * stripe + 7, u64::MAX] {
+            for limit in [0, 1, 64, usize::MAX] {
+                assert_eq!(
+                    with.collect_range(lo, u64::MAX, limit),
+                    without.collect_range(lo, u64::MAX, limit)
+                );
+                assert_eq!(
+                    with.par_collect_range(lo, u64::MAX, limit),
+                    without.par_collect_range(lo, u64::MAX, limit)
+                );
+            }
+            assert_eq!(with.get(&lo), without.get(&lo));
+        }
+        for i in 0..300u64 {
+            let k = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            assert_eq!(with.get(&k), Some(i));
+        }
     }
 
     #[test]

@@ -226,7 +226,7 @@ impl<K: Key, V> DenseFile<K, V> {
     // Optimistic reads.
     // ------------------------------------------------------------------
 
-    /// A handle for lock-free reads, if
+    /// A handle for reads that never wait for the file, if
     /// [`enable_optimistic_reads`](Self::enable_optimistic_reads) was
     /// called.
     pub fn read_view(&self) -> Option<ReadView<K, V>> {
@@ -240,15 +240,9 @@ impl<K: Key, V> DenseFile<K, V> {
     /// branch when the view is disabled.
     #[inline]
     pub(crate) fn publish_view(&mut self) {
-        if self.view.is_none() {
-            return;
+        if let Some(vs) = self.view.as_mut() {
+            vs.publish(&mut self.store);
         }
-        let dirty = self.store.take_dirty_slots();
-        if dirty.is_empty() {
-            return;
-        }
-        let vs = self.view.as_ref().expect("checked above");
-        (vs.publish)(&self.store, &dirty, &vs.inner);
     }
 
     // ------------------------------------------------------------------
@@ -732,41 +726,36 @@ impl<K: Key, V> DenseFile<K, V> {
 }
 
 impl<K: Key, V: Clone> DenseFile<K, V> {
-    /// Turns on the optimistic read path and returns a lock-free
-    /// [`ReadView`] handle. Idempotent — later calls return a handle to the
-    /// same view.
+    /// Turns on the read view and returns a [`ReadView`] handle.
+    /// Idempotent — later calls return a handle to the same view.
     ///
-    /// From this point every command (and offline pass) republishes the
-    /// slots it touched into the view at its end, which costs one clone of
-    /// each touched slot's records. Callers that never share the file
-    /// across threads should leave this off; `ShardedFile`/`DurableKv`
-    /// enable it so point gets and range scans stop queuing behind the
-    /// shard write lock.
+    /// From this point the store shares its slot images with the view's
+    /// published generation: every command (and offline pass) copies each
+    /// slot it touches once, on first write, and at its end swaps the
+    /// touched slots' images into the generation. Callers that never share
+    /// the file across threads should leave this off;
+    /// `ShardedFile`/`DurableKv` enable it so point gets and range scans
+    /// stop queuing behind the shard write lock.
     pub fn enable_optimistic_reads(&mut self) -> ReadView<K, V> {
         if self.view.is_none() {
-            self.store.enable_dirty_tracking();
-            let vs = ViewState::new(self.cfg);
-            let all: Vec<u32> = (0..self.cfg.slots).collect();
-            (vs.publish)(&self.store, &all, &vs.inner);
-            self.view = Some(vs);
+            self.store.share_slots();
+            self.view = Some(ViewState::new(&self.store, self.cfg));
         }
         self.read_view().expect("view just enabled")
     }
 
-    /// Point lookup through the optimistic view, falling back to the
-    /// direct (calibrator-guided, counted) probe when the view is disabled
-    /// or loses its retry budget. Returns an owned value — the optimistic
-    /// path answers from a published generation, not from the live store.
+    /// Point lookup through the read view, or through the direct
+    /// (calibrator-guided, counted) probe when the view is disabled.
+    /// Returns an owned value — the view answers from a published
+    /// generation, not from the live store.
     pub fn get_optimistic(&self, key: &K) -> Option<V> {
-        if let Some(vs) = &self.view {
-            let view = ReadView {
-                inner: vs.inner.clone(),
-            };
-            if let Ok(hit) = view.try_get(key) {
-                return hit;
+        match &self.view {
+            Some(vs) => vs.inner.get(key),
+            None => {
+                crate::readview::count_locked_read();
+                self.get(key).cloned()
             }
         }
-        self.get(key).cloned()
     }
 }
 

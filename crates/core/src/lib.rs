@@ -73,7 +73,7 @@ pub use config::{
 pub use error::{BulkLoadError, DsfError};
 pub use file::{Audit, DenseFile};
 pub use invariant::InvariantViolation;
-pub use readview::{ReadConflict, ReadView, MAX_ATTEMPTS as READ_MAX_ATTEMPTS};
+pub use readview::{count_locked_read, ReadView};
 pub use scan::{Scan, ScanRev};
 pub use snapshot::{Codec, SnapshotError};
 pub use stats::{AccessHistogram, OpStats};

@@ -357,24 +357,20 @@ impl<K: Key, V> DenseFile<K, V> {
 }
 
 impl<K: Key, V: Clone> DenseFile<K, V> {
-    /// Range collection through the optimistic read view, falling back to
-    /// the ordinary (counted) [`DenseFile::range`] scan when the view is
-    /// disabled or loses its retry budget.
+    /// Range collection through the read view, or through the ordinary
+    /// (counted) [`DenseFile::range`] scan when the view is disabled.
     ///
-    /// The optimistic path answers from the latest *published* generation:
-    /// it charges no page accesses and never observes a mid-command SHIFT
-    /// state. Returns owned pairs in ascending key order.
+    /// The view answers from the latest *published* generation: it charges
+    /// no page accesses and never observes a mid-command SHIFT state.
+    /// Returns owned pairs in ascending key order.
     pub fn scan_optimistic<R: std::ops::RangeBounds<K>>(&self, range: R) -> Vec<(K, V)> {
-        let start = range.start_bound().cloned();
-        let end = range.end_bound().cloned();
-        if let Some(view) = self.read_view() {
-            if let Ok(out) = view.try_collect_range(start, end) {
-                return out;
+        match &self.view {
+            Some(vs) => vs.inner.collect_range(&range, usize::MAX),
+            None => {
+                crate::readview::count_locked_read();
+                self.range(range).map(|(k, v)| (*k, v.clone())).collect()
             }
         }
-        Scan::bounded(self, start, end)
-            .map(|(k, v)| (*k, v.clone()))
-            .collect()
     }
 }
 

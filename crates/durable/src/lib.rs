@@ -49,5 +49,5 @@ pub mod vfs;
 mod wal;
 
 pub use physical::{ImageHeader, IoReport, PhysicalImage};
-pub use vfs::{FaultFs, FaultPlan, StdFs, SyscallKind, Vfs, VfsFile};
+pub use vfs::{unique_temp_path, FaultFs, FaultPlan, StdFs, SyscallKind, Vfs, VfsFile};
 pub use wal::{Durability, DurableError, DurableFile, SyncPolicy};

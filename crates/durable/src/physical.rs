@@ -598,11 +598,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn temppath(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!(
-            "dsf-phys-{tag}-{}-{:?}.img",
-            std::process::id(),
-            std::thread::current().id()
-        ))
+        crate::unique_temp_path(&format!("dsf-phys-{tag}"))
     }
 
     fn sample_file() -> DenseFile<u64, u64> {

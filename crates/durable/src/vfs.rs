@@ -34,7 +34,22 @@
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// A path under the system temp directory that no other call returns:
+/// `<tag>-<pid>-<n>`, with `n` counting this process's calls. Tests use it
+/// for scratch files and directories, so tests running in parallel (or a
+/// test registered twice) never share one. Nothing is created; a leftover
+/// of an earlier process that had the same pid is removed.
+pub fn unique_temp_path(tag: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&path);
+    let _ = std::fs::remove_file(&path);
+    path
+}
 
 /// An open writable file handle of a [`Vfs`].
 pub trait VfsFile: Write {

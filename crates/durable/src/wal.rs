@@ -1122,13 +1122,7 @@ mod tests {
     use super::*;
 
     fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "dsf-wal-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        dir
+        crate::unique_temp_path(&format!("dsf-wal-{tag}"))
     }
 
     fn cfg() -> DenseFileConfig {

@@ -3,20 +3,9 @@
 //! always yield the exact replayed-prefix state with all invariants.
 
 use dsf_core::DenseFileConfig;
-use dsf_durable::{DurableFile, SyncPolicy};
+use dsf_durable::{unique_temp_path, DurableFile, SyncPolicy};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-
-fn tempdir(tag: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "dsf-crashprop-{}-{tag}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
 
 #[derive(Debug, Clone, Copy)]
 enum HOp {
@@ -38,11 +27,11 @@ proptest! {
 
     #[test]
     fn recovery_is_always_a_command_prefix(
-        seed in any::<u64>(),
+        _seed in any::<u64>(),
         ops in prop::collection::vec(op_strategy(), 1..80),
         cut_frac in 0.0f64..1.0,
     ) {
-        let dir = tempdir(seed);
+        let dir = unique_temp_path("dsf-crashprop");
         let cfg = DenseFileConfig::control2(32, 8, 48);
         let mut f: DurableFile<u16, u16> =
             DurableFile::create(&dir, cfg, SyncPolicy::Manual).unwrap();
@@ -122,17 +111,13 @@ mod physical_properties {
         fn image_round_trips_and_streams(
             keys in prop::collection::btree_set(any::<u16>(), 0..300),
             ranges in prop::collection::vec((any::<u16>(), any::<u16>()), 1..6),
-            seed in any::<u64>(),
         ) {
             let mut f: DenseFile<u16, u32> =
                 DenseFile::new(DenseFileConfig::control2(32, 16, 64)).unwrap();
             for &k in &keys {
                 f.insert(k, u32::from(k) + 7).unwrap();
             }
-            let path = std::env::temp_dir().join(format!(
-                "dsf-physprop-{}-{seed}.img",
-                std::process::id()
-            ));
+            let path = dsf_durable::unique_temp_path("dsf-physprop");
             let mut img = PhysicalImage::create(&f, &path, 2048).unwrap();
             let g: DenseFile<u16, u32> = img.load().unwrap();
             let a: Vec<(u16, u32)> = f.iter().map(|(k, v)| (*k, *v)).collect();
@@ -151,11 +136,7 @@ mod physical_properties {
         /// Garbage bytes never panic the opener.
         #[test]
         fn opener_rejects_garbage(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-            let path = std::env::temp_dir().join(format!(
-                "dsf-physgarbage-{}-{:?}.img",
-                std::process::id(),
-                std::thread::current().id()
-            ));
+            let path = dsf_durable::unique_temp_path("dsf-physgarbage");
             std::fs::write(&path, &bytes).unwrap();
             let _ = PhysicalImage::open(&path);
             std::fs::remove_file(&path).ok();

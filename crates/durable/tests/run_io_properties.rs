@@ -15,11 +15,7 @@ const PAGE_SIZE: u32 = 1024;
 const IMAGE_PAGES: u64 = 64;
 
 fn temppath(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "dsf-runio-{tag}-{}-{:?}.img",
-        std::process::id(),
-        std::thread::current().id()
-    ))
+    dsf_durable::unique_temp_path(&format!("dsf-runio-{tag}"))
 }
 
 /// A writable 64-page scratch image populated from a dense file.
@@ -43,6 +39,7 @@ fn payload(pages: u64, seed: u8) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
+    #[test]
     fn write_run_read_run_round_trips_vs_per_page(
         runs in prop::collection::vec((0u64..60, 0u64..5, any::<u8>()), 0..8)
     ) {

@@ -57,5 +57,5 @@ pub use pool::{BufferPool, MemBackend, PageBackend, PoolStats};
 pub use record::{Key, Record};
 pub use sched::AsyncBackend;
 pub use stats::{IoDelta, IoSnapshot, IoStats};
-pub use store::{End, PagedStore, SlotId, StoreConfig, StoreError};
+pub use store::{End, PagedStore, SlotId, SlotImage, StoreConfig, StoreError};
 pub use trace::{AccessEvent, AccessKind, TraceBuffer};

@@ -8,12 +8,24 @@
 //! what makes macro-block operations "K times as costly" exactly as the
 //! paper requires.
 
+use std::sync::Arc;
+
 use crate::record::{Key, Record};
 use crate::stats::IoStats;
 use crate::trace::{AccessKind, TraceBuffer};
 
 /// Index of a slot (logical page / macro-block) in a [`PagedStore`].
 pub type SlotId = u32;
+
+/// One slot's records as a shareable image. A [`PagedStore`] holds every
+/// slot as one; a read view may hold the same `Arc`, so a slot exists once
+/// until the store next mutates it (see [`PagedStore::share_slots`]).
+pub type SlotImage<K, V> = Arc<Vec<Record<K, V>>>;
+
+/// Unshared images kept for reuse by copy-on-write (see
+/// [`PagedStore::recycle`]). A command dirties a handful of slots, so a
+/// few dozen spares make steady-state copying allocation-free.
+const SPARE_IMAGES: usize = 64;
 
 /// Sizing parameters for a [`PagedStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,18 +71,44 @@ pub enum End {
 /// `max_key`, `total_records`) is free — the dense-file algorithms mirror it
 /// in the in-memory calibrator. `peek_*` methods are free and reserved for
 /// invariant checkers and tests.
+///
+/// Each slot is a [`SlotImage`]. Mutators write through `Arc::get_mut`, so
+/// an image nobody else holds is updated in place; an image a read view
+/// shares is copied once, on the first mutation after it was shared.
 #[derive(Debug)]
 pub struct PagedStore<K, V> {
     cfg: StoreConfig,
-    slots: Vec<Vec<Record<K, V>>>,
+    slots: Vec<SlotImage<K, V>>,
     total: usize,
     stats: IoStats,
     trace: TraceBuffer,
-    /// Slots mutated since the last [`PagedStore::take_dirty_slots`] drain.
-    /// `None` (the default) disables tracking so plain stores pay only one
-    /// branch per mutation; the optimistic read view enables it to know
-    /// which slot snapshots to republish at command end.
+    /// Slots mutated since the last [`PagedStore::take_dirty_slots`]
+    /// drain. `None` (the default) disables tracking so plain stores pay
+    /// only one branch per mutation; the read view enables it to know
+    /// which slot images to republish at command end.
     dirty: Option<Vec<SlotId>>,
+    /// Copies a shared non-empty image before its first mutation. Set by
+    /// [`PagedStore::share_slots`], which is where the `V: Clone` bound
+    /// is discharged; `None` while no image can be shared.
+    copy: Option<CopyFn<K, V>>,
+    /// Unshared, cleared images ready to receive the next copy.
+    spare: Vec<SlotImage<K, V>>,
+}
+
+/// The monomorphized slot copier held by a sharing store.
+type CopyFn<K, V> = fn(&[Record<K, V>], &mut Vec<Record<K, V>>);
+
+fn copy_slot<K: Key, V: Clone>(src: &[Record<K, V>], dst: &mut Vec<Record<K, V>>) {
+    // One record of headroom: the mutation that forced the copy is often
+    // an insert. A spare more than twice too large is not reused, so
+    // recycled buffers never inflate a slot beyond ordinary growth.
+    let want = src.len() + 1;
+    if dst.capacity() > 2 * want {
+        *dst = Vec::with_capacity(want);
+    }
+    dst.clear();
+    dst.reserve_exact(want);
+    dst.extend_from_slice(src);
 }
 
 impl<K: Key, V> PagedStore<K, V> {
@@ -85,14 +123,76 @@ impl<K: Key, V> PagedStore<K, V> {
         if cfg.page_capacity == 0 {
             return Err(StoreError::ZeroParameter("page_capacity"));
         }
+        // Every slot starts as the same empty image: an empty image is
+        // replaced, not copied, on first write, so no slot allocates until
+        // it holds records.
+        let empty = Arc::new(Vec::new());
         Ok(PagedStore {
             cfg,
-            slots: (0..cfg.slots).map(|_| Vec::new()).collect(),
+            slots: vec![empty; cfg.slots as usize],
             total: 0,
             stats: IoStats::new(),
             trace: TraceBuffer::new(),
             dirty: None,
+            copy: None,
+            spare: Vec::new(),
         })
+    }
+
+    /// Lets callers hold slot images ([`PagedStore::slot_image`]) across
+    /// mutations, and turns on dirty-slot tracking so they know which
+    /// images to refresh. Idempotent.
+    pub fn share_slots(&mut self)
+    where
+        V: Clone,
+    {
+        self.copy = Some(copy_slot::<K, V>);
+        self.enable_dirty_tracking();
+    }
+
+    /// The shared image of `slot`. Free; clone the `Arc` to keep it. A
+    /// clone held past the next mutation of `slot` keeps the old records
+    /// (the store copies before writing).
+    ///
+    /// # Panics
+    ///
+    /// Mutating a non-empty slot whose image is held elsewhere panics
+    /// unless the store [`share_slots`](Self::share_slots) (only then can
+    /// it copy records).
+    pub fn slot_image(&self, slot: SlotId) -> &SlotImage<K, V> {
+        &self.slots[slot as usize]
+    }
+
+    /// Takes back an image a sharer no longer needs: if nobody else holds
+    /// it, it is cleared and kept to receive a later copy-on-write.
+    pub fn recycle(&mut self, mut img: SlotImage<K, V>) {
+        if self.spare.len() < SPARE_IMAGES {
+            if let Some(recs) = Arc::get_mut(&mut img) {
+                recs.clear();
+                self.spare.push(img);
+            }
+        }
+    }
+
+    /// `slot`'s records for writing, marked dirty. A shared image is
+    /// copied first (into a spare when one is available); with
+    /// `keep == false` the caller overwrites everything, so nothing is
+    /// copied.
+    fn slot_mut(&mut self, slot: SlotId, keep: bool) -> &mut Vec<Record<K, V>> {
+        if let Some(d) = self.dirty.as_mut() {
+            d.push(slot);
+        }
+        let img = &mut self.slots[slot as usize];
+        if Arc::get_mut(img).is_none() {
+            let mut fresh = self.spare.pop().unwrap_or_default();
+            let recs = Arc::get_mut(&mut fresh).expect("spare images are unshared");
+            if keep && !img.is_empty() {
+                let copy = self.copy.expect("only a sharing store hands out images");
+                copy(img, recs);
+            }
+            *img = fresh;
+        }
+        Arc::get_mut(img).expect("image was just unshared")
     }
 
     /// Starts recording which slots each mutation touches. Idempotent.
@@ -107,24 +207,16 @@ impl<K: Key, V> PagedStore<K, V> {
         self.dirty.is_some()
     }
 
-    /// Drains the set of slots mutated since the last drain, sorted and
-    /// deduplicated. Empty (and free) when tracking is disabled.
-    pub fn take_dirty_slots(&mut self) -> Vec<SlotId> {
-        match self.dirty.as_mut() {
-            Some(d) => {
-                let mut out = std::mem::take(d);
-                out.sort_unstable();
-                out.dedup();
-                out
-            }
-            None => Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn mark_dirty(&mut self, slot: SlotId) {
+    /// Drains the set of slots mutated since the last drain into `out`,
+    /// sorted and deduplicated; `out` is left empty when tracking is
+    /// disabled. The drained and the caller's buffer swap, so a drain per
+    /// command allocates nothing once both have grown.
+    pub fn take_dirty_slots(&mut self, out: &mut Vec<SlotId>) {
+        out.clear();
         if let Some(d) = self.dirty.as_mut() {
-            d.push(slot);
+            std::mem::swap(d, out);
+            out.sort_unstable();
+            out.dedup();
         }
     }
 
@@ -287,18 +379,9 @@ impl<K: Key, V> PagedStore<K, V> {
     /// value if the key was already present.
     pub fn insert(&mut self, slot: SlotId, key: K, value: V) -> Option<V> {
         match self.search(slot, &key) {
-            Ok(idx) => {
-                self.charge_span(slot, idx, idx + 1, AccessKind::Write);
-                let old = std::mem::replace(&mut self.slots[slot as usize][idx].value, value);
-                self.mark_dirty(slot);
-                Some(old)
-            }
+            Ok(idx) => Some(self.replace_at(slot, idx, value)),
             Err(idx) => {
-                let new_len = self.slots[slot as usize].len() + 1;
-                self.charge_span(slot, idx, new_len, AccessKind::Write);
-                self.slots[slot as usize].insert(idx, Record::new(key, value));
-                self.total += 1;
-                self.mark_dirty(slot);
+                self.insert_searched(slot, idx, key, value);
                 None
             }
         }
@@ -327,17 +410,16 @@ impl<K: Key, V> PagedStore<K, V> {
         );
         let new_len = recs.len() + 1;
         self.charge_span(slot, idx, new_len, AccessKind::Write);
-        self.slots[slot as usize].insert(idx, Record::new(key, value));
+        self.slot_mut(slot, true)
+            .insert(idx, Record::new(key, value));
         self.total += 1;
-        self.mark_dirty(slot);
     }
 
     /// Replaces the value at a known position `idx`, charging one page
     /// write. Returns the previous value.
     pub fn replace_at(&mut self, slot: SlotId, idx: usize, value: V) -> V {
         self.charge_span(slot, idx, idx + 1, AccessKind::Write);
-        self.mark_dirty(slot);
-        std::mem::replace(&mut self.slots[slot as usize][idx].value, value)
+        std::mem::replace(&mut self.slot_mut(slot, true)[idx].value, value)
     }
 
     /// Removes `key` from `slot`, charging the search reads plus writes for
@@ -347,9 +429,8 @@ impl<K: Key, V> PagedStore<K, V> {
             Ok(idx) => {
                 let old_len = self.slots[slot as usize].len();
                 self.charge_span(slot, idx, old_len, AccessKind::Write);
-                let rec = self.slots[slot as usize].remove(idx);
+                let rec = self.slot_mut(slot, true).remove(idx);
                 self.total -= 1;
-                self.mark_dirty(slot);
                 Some(rec.value)
             }
             Err(_) => None,
@@ -373,17 +454,15 @@ impl<K: Key, V> PagedStore<K, V> {
             End::Front => {
                 self.charge_span(slot, 0, n, AccessKind::Read);
                 self.charge_span(slot, 0, len, AccessKind::Write);
-                let rest = self.slots[slot as usize].split_off(n);
-                std::mem::replace(&mut self.slots[slot as usize], rest)
+                self.slot_mut(slot, true).drain(..n).collect()
             }
             End::Back => {
                 self.charge_span(slot, len - n, len, AccessKind::Read);
                 self.charge_span(slot, len - n, len, AccessKind::Write);
-                self.slots[slot as usize].split_off(len - n)
+                self.slot_mut(slot, true).split_off(len - n)
             }
         };
-        self.total -= out.len();
-        self.mark_dirty(slot);
+        self.total -= n;
         out
     }
 
@@ -407,7 +486,6 @@ impl<K: Key, V> PagedStore<K, V> {
         let old_len = self.slots[slot as usize].len();
         let new_len = old_len + recs.len();
         self.total += recs.len();
-        self.mark_dirty(slot);
         match end {
             End::Back => {
                 debug_assert!(
@@ -418,7 +496,7 @@ impl<K: Key, V> PagedStore<K, V> {
                 // into, so include it in the charged span.
                 let from = old_len.saturating_sub(1);
                 self.charge_span(slot, from, new_len, AccessKind::Write);
-                self.slots[slot as usize].extend(recs);
+                self.slot_mut(slot, true).extend(recs);
             }
             End::Front => {
                 debug_assert!(
@@ -427,9 +505,7 @@ impl<K: Key, V> PagedStore<K, V> {
                     "put(Front): keys must precede slot minimum"
                 );
                 self.charge_span(slot, 0, new_len, AccessKind::Write);
-                let mut new = recs;
-                new.append(&mut self.slots[slot as usize]);
-                self.slots[slot as usize] = new;
+                self.slot_mut(slot, true).splice(0..0, recs);
             }
         }
     }
@@ -441,8 +517,7 @@ impl<K: Key, V> PagedStore<K, V> {
         let len = self.slots[slot as usize].len();
         self.charge_span(slot, 0, len, AccessKind::Read);
         self.total -= len;
-        self.mark_dirty(slot);
-        std::mem::take(&mut self.slots[slot as usize])
+        std::mem::take(self.slot_mut(slot, true))
     }
 
     /// Replaces the contents of `slot` with `recs` (ascending, pre-sorted),
@@ -463,8 +538,7 @@ impl<K: Key, V> PagedStore<K, V> {
             self.charge_span(slot, 0, touched.max(1), AccessKind::Write);
         }
         self.total = self.total - old_len + recs.len();
-        self.slots[slot as usize] = recs;
-        self.mark_dirty(slot);
+        *self.slot_mut(slot, false) = recs;
     }
 
     /// Replaces the raw contents of `slot` with **no** ordering validation
@@ -475,8 +549,7 @@ impl<K: Key, V> PagedStore<K, V> {
     pub fn corrupt_slot_for_audit(&mut self, slot: SlotId, recs: Vec<Record<K, V>>) {
         let old_len = self.slots[slot as usize].len();
         self.total = self.total - old_len + recs.len();
-        self.slots[slot as usize] = recs;
-        self.mark_dirty(slot);
+        *self.slot_mut(slot, false) = recs;
     }
 
     /// Reads the records of one physical page of `slot`, charging one read.
@@ -516,6 +589,12 @@ impl<K: Key, V> PagedStore<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn dirty(st: &mut PagedStore<u64, u32>) -> Vec<SlotId> {
+        let mut out = Vec::new();
+        st.take_dirty_slots(&mut out);
+        out
+    }
 
     fn store(slots: u32, k: u32, cap: u32) -> PagedStore<u64, u32> {
         PagedStore::new(StoreConfig {
@@ -736,52 +815,91 @@ mod tests {
         let mut st = store(4, 1, 8);
         st.insert(3, 1, 0);
         assert!(!st.dirty_tracking_enabled());
-        assert!(st.take_dirty_slots().is_empty());
+        assert!(dirty(&mut st).is_empty());
 
         st.enable_dirty_tracking();
         st.insert(3, 2, 0);
         st.insert(1, 5, 0);
         st.insert(3, 3, 0); // duplicate slot
         st.remove(1, &5);
-        assert_eq!(st.take_dirty_slots(), vec![1, 3]);
+        assert_eq!(dirty(&mut st), vec![1, 3]);
         // Drain resets the set.
-        assert!(st.take_dirty_slots().is_empty());
+        assert!(dirty(&mut st).is_empty());
     }
 
     #[test]
     fn dirty_tracking_covers_every_mutator() {
         let mut st = store(8, 1, 8);
         st.enable_dirty_tracking();
-        st.take_dirty_slots();
+        dirty(&mut st);
 
         st.insert(0, 1, 0);
         st.insert(0, 1, 9); // replace arm
-        assert_eq!(st.take_dirty_slots(), vec![0]);
+        assert_eq!(dirty(&mut st), vec![0]);
 
         let idx = st.search(1, &7).unwrap_err();
         st.insert_searched(1, idx, 7, 0);
-        assert_eq!(st.take_dirty_slots(), vec![1]);
+        assert_eq!(dirty(&mut st), vec![1]);
 
         st.replace_at(1, 0, 3);
-        assert_eq!(st.take_dirty_slots(), vec![1]);
+        assert_eq!(dirty(&mut st), vec![1]);
 
         st.remove(0, &1);
-        assert_eq!(st.take_dirty_slots(), vec![0]);
+        assert_eq!(dirty(&mut st), vec![0]);
         st.remove(0, &1); // miss: no mutation, no dirty mark
-        assert!(st.take_dirty_slots().is_empty());
+        assert!(dirty(&mut st).is_empty());
 
         st.replace(2, vec![Record::new(1u64, 0u32), Record::new(2, 0)]);
-        assert_eq!(st.take_dirty_slots(), vec![2]);
+        assert_eq!(dirty(&mut st), vec![2]);
 
         let recs = st.take(2, 1, End::Back);
         st.put(3, recs, End::Back);
-        assert_eq!(st.take_dirty_slots(), vec![2, 3]);
+        assert_eq!(dirty(&mut st), vec![2, 3]);
 
         st.take_all(3);
-        assert_eq!(st.take_dirty_slots(), vec![3]);
+        assert_eq!(dirty(&mut st), vec![3]);
 
         st.corrupt_slot_for_audit(4, vec![Record::new(9, 0)]);
-        assert_eq!(st.take_dirty_slots(), vec![4]);
+        assert_eq!(dirty(&mut st), vec![4]);
+    }
+
+    #[test]
+    fn shared_images_keep_their_records_and_spares_are_reused() {
+        let mut st = store(2, 1, 8);
+        st.share_slots();
+        for k in 0..4u64 {
+            st.insert(0, k, 0);
+        }
+        let held = st.slot_image(0).clone();
+        let snap = st.stats().snapshot();
+        st.insert(0, 9, 0);
+        // The holder keeps the old records; the store wrote a copy, and
+        // the copy changes nothing in the page accounting.
+        assert_eq!(
+            held.iter().map(|r| r.key).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3]
+        );
+        assert_eq!(st.len(0), 5);
+        assert_eq!(st.stats().since(snap).accesses(), 2);
+        // Mutating an unshared image writes in place.
+        let img = Arc::as_ptr(st.slot_image(0));
+        st.insert(0, 7, 0);
+        assert_eq!(Arc::as_ptr(st.slot_image(0)), img);
+        // A returned image nobody holds receives the next copy.
+        let spare = Arc::as_ptr(&held);
+        st.recycle(held);
+        let held = st.slot_image(0).clone();
+        st.remove(0, &9);
+        assert_eq!(Arc::as_ptr(st.slot_image(0)), spare);
+        assert_eq!(held.len(), 6);
+        assert_eq!(
+            st.peek_slot(0).iter().map(|r| r.key).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 7]
+        );
+        // An image still held elsewhere is not kept.
+        let again = held.clone();
+        st.recycle(held);
+        assert_eq!(Arc::strong_count(&again), 1);
     }
 
     #[test]

@@ -22,9 +22,8 @@
 
 use crate::protocol::Outcome;
 use dsf_concurrent::ShardedFile;
-use dsf_core::{Command, CommandOutcome, DenseFileConfig, ReadView};
+use dsf_core::{count_locked_read, Command, CommandOutcome, DenseFileConfig, ReadView};
 use dsf_durable::{Durability, DurableError, DurableFile, StdFs, SyncPolicy, Vfs};
-use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -102,15 +101,14 @@ pub struct ShardedKv {
 }
 
 impl ShardedKv {
-    /// Wraps an existing sharded file, enabling lock-free optimistic reads
-    /// on it (idempotent) so served gets and scans never queue behind the
-    /// write path.
+    /// Wraps an existing sharded file, enabling its read view (idempotent)
+    /// so served gets and scans never queue behind the write path.
     pub fn new(file: Arc<ShardedFile<String>>) -> Self {
         file.enable_optimistic_reads();
         ShardedKv { file }
     }
 
-    /// Builds a fresh `shards × per_shard` file with optimistic reads on.
+    /// Builds a fresh `shards × per_shard` file with its read view on.
     pub fn with_config(shards: u32, per_shard: DenseFileConfig) -> Result<Self, String> {
         let file = Arc::new(ShardedFile::new(shards, per_shard).map_err(|e| e.to_string())?);
         file.enable_optimistic_reads();
@@ -187,14 +185,13 @@ impl KvService for ShardedKv {
 /// full server stack unchanged.
 pub struct DurableKv<F: Vfs = StdFs> {
     shards: Vec<Mutex<DurableFile<u64, String, F>>>,
-    /// Per-shard optimistic [`ReadView`] handles, seeded at create/open.
-    /// This is what decouples the read path from the per-shard `Mutex`
-    /// above: before PR 10, `get` queued behind every in-flight group
-    /// commit on its shard.
+    /// Per-shard [`ReadView`] handles, seeded at create/open. This is what
+    /// decouples the read path from the per-shard `Mutex` above: without
+    /// it, `get` queues behind every in-flight group commit on its shard.
     views: Vec<ReadView<u64, String>>,
     /// Read-path switch: when `false`, `get`/`scan` take the shard lock
-    /// like the write path (the pre-PR-10 behaviour — kept for A/B
-    /// measurement in `exp_concurrent_reads`). Publication always stays on.
+    /// like the write path (kept for A/B measurement in
+    /// `exp_concurrent_reads`). Publication always stays on.
     optimistic: AtomicBool,
     stripe: u64,
     root: PathBuf,
@@ -274,22 +271,20 @@ impl<F: Vfs> DurableKv<F> {
         })
     }
 
-    /// Switches the read path between optimistic (default) and
-    /// lock-per-read (the pre-PR-10 behaviour). Publication is unaffected,
-    /// so flipping back to `true` is immediately consistent. A/B knob for
-    /// `exp_concurrent_reads`.
+    /// Switches the read path between the read view (default) and
+    /// lock-per-read. Publication is unaffected, so flipping back to `true`
+    /// is immediately consistent. A/B knob for `exp_concurrent_reads`;
+    /// locked reads count in `dsf_read_fallbacks`.
     pub fn set_optimistic_reads(&self, on: bool) {
         self.optimistic.store(on, Ordering::Relaxed);
     }
 
     /// Evenly redistributes every shard's records across its file
     /// (layout maintenance; see [`dsf_durable::DurableFile::vacuum`]).
-    /// Incremental ingest packs records into a slot prefix, which defeats
-    /// lock-free routing (long empty-slot runs decline optimistically);
-    /// a vacuum after bulk ingest restores the spread layout that both
-    /// scans and optimistic reads want. Takes each shard's write lock in
-    /// turn — concurrent optimistic readers keep reading the previous
-    /// generation until each shard republishes.
+    /// Incremental ingest packs records into a slot prefix; a vacuum after
+    /// bulk ingest restores the spread layout later inserts want. Takes
+    /// each shard's write lock in turn — concurrent view readers keep
+    /// reading the previous generation until each shard republishes.
     pub fn vacuum(&self) {
         for s in &self.shards {
             s.lock().expect("shard poisoned").vacuum();
@@ -337,14 +332,12 @@ where
 
     fn get(&self, key: u64) -> Option<String> {
         let s = self.shard_of(key);
-        // Optimistic-first: a validated read against the shard's published
-        // generation never touches the Mutex the write path holds across a
-        // whole group commit (fsync included).
+        // The shard's published generation never waits for the Mutex the
+        // write path holds across a whole group commit (fsync included).
         if self.optimistic.load(Ordering::Relaxed) {
-            if let Ok(hit) = self.views[s].try_get(&key) {
-                return hit;
-            }
+            return self.views[s].get(&key);
         }
+        count_locked_read();
         let file = self.shards[s].lock().expect("shard poisoned");
         // Time to here since the request's trace began = how long this
         // read queued behind the write path (same stamp apply_batch uses).
@@ -355,44 +348,33 @@ where
     fn scan(&self, start: u64, limit: usize) -> Vec<(u64, String)> {
         // Shards are ascending key stripes, so walking them in order
         // yields globally sorted output; stop as soon as `limit` is met.
-        let mut out = Vec::with_capacity(limit.min(64));
-        for (s, shard) in self.shards.iter().enumerate() {
+        let mut out = Vec::new();
+        for s in self.shard_of(start)..self.shards.len() {
             if out.len() >= limit {
                 break;
             }
+            let want = limit - out.len();
             if self.optimistic.load(Ordering::Relaxed) {
-                // An unbounded-end view collection declines very wide slot
-                // windows (falling through to the lock), but typical server
-                // shards fit comfortably.
-                if let Ok(part) =
-                    self.views[s].try_collect_range(Bound::Included(start), Bound::Unbounded)
-                {
-                    for kv in part {
-                        out.push(kv);
-                        if out.len() >= limit {
-                            break;
-                        }
-                    }
-                    continue;
+                let part = self.views[s].scan(&start, want);
+                if out.is_empty() {
+                    out = part;
+                } else {
+                    out.extend(part);
                 }
+                continue;
             }
-            let file = shard.lock().expect("shard poisoned");
+            count_locked_read();
+            let file = self.shards[s].lock().expect("shard poisoned");
             dsf_trace::batch_checkpoint(dsf_trace::Phase::LockWait);
-            for (k, v) in file.range(start..) {
-                out.push((*k, v.clone()));
-                if out.len() >= limit {
-                    break;
-                }
-            }
+            out.extend(file.range(start..).take(want).map(|(k, v)| (*k, v.clone())));
         }
         out
     }
 
+    /// From the published generations' record counts: never waits behind
+    /// a group commit.
     fn len(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").len())
-            .sum()
+        self.views.iter().map(ReadView::records).sum()
     }
 
     fn flush(&self) -> Result<(), String> {

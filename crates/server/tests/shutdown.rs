@@ -10,13 +10,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "dsf-serve-shutdown-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    dsf_durable::unique_temp_path(&format!("dsf-serve-shutdown-{tag}"))
 }
 
 fn cfg() -> DenseFileConfig {

@@ -21,9 +21,7 @@ fn lock() -> MutexGuard<'static, ()> {
 }
 
 fn tempdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dsf-trace-test-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    dsf_durable::unique_temp_path(&format!("dsf-trace-test-{tag}"))
 }
 
 #[test]

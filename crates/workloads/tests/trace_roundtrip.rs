@@ -41,11 +41,13 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+    #[test]
     fn trace_round_trips_any_op_sequence(ops in prop::collection::vec(arb_op(), 0..200)) {
         let text = write_trace(&ops);
         prop_assert_eq!(read_trace(&text).unwrap(), ops);
     }
 
+    #[test]
     fn trace_survives_comment_and_blank_injection(ops in prop::collection::vec(arb_op(), 1..50)) {
         // Interleave the noise read_trace documents as ignorable; the op
         // stream must come back untouched.

@@ -507,8 +507,9 @@ macro_rules! proptest {
 macro_rules! __proptest_impl {
     (cfg = ($cfg:expr); $($(#[$meta:meta])* fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block)*) => {
         $(
+            // The caller writes `#[test]` (as with real proptest); adding
+            // another here would register every property twice.
             $(#[$meta])*
-            #[test]
             fn $name() {
                 let config: $crate::ProptestConfig = $cfg;
                 // Replay the checked-in regression corpus first: a pinned
@@ -641,19 +642,54 @@ mod tests {
         }
     }
 
+    static PLAIN_CASES: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+        #[test]
         fn the_macro_itself_runs(x in 0u32..100, mut v in crate::collection::vec(any::<u8>(), 0..8)) {
             v.push(x as u8);
             prop_assert!(v.len() <= 8);
             prop_assert_eq!(*v.last().unwrap(), x as u8);
             prop_assert_ne!(v.len(), 0);
         }
+
+        /// Without `#[test]` a property is an ordinary function.
+        fn a_plain_property(x in 0u8..4) {
+            PLAIN_CASES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            prop_assert!(x < 4);
+        }
+    }
+
+    #[test]
+    fn each_property_registers_once() {
+        // The macro adds no test attribute of its own...
+        a_plain_property();
+        assert_eq!(PLAIN_CASES.load(std::sync::atomic::Ordering::Relaxed), 16);
+        // ...so the harness lists every test of this binary exactly once.
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .arg("--list")
+            .output()
+            .unwrap();
+        let listing = String::from_utf8(out.stdout).unwrap();
+        let names: Vec<&str> = listing
+            .lines()
+            .filter_map(|l| l.strip_suffix(": test"))
+            .collect();
+        let once = |name: &str| names.iter().filter(|n| n.ends_with(name)).count() == 1;
+        assert!(once("the_macro_itself_runs"), "listing: {listing}");
+        assert!(!names.iter().any(|n| n.ends_with("a_plain_property")));
+        let unique: std::collections::BTreeSet<&&str> = names.iter().collect();
+        assert_eq!(unique.len(), names.len(), "duplicate test names: {listing}");
     }
 
     #[test]
     fn corpus_parser_reads_matching_cc_lines_only() {
-        let dir = std::env::temp_dir().join(format!("proptest-shim-corpus-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "proptest-shim-corpus-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
         std::fs::create_dir_all(dir.join("proptest-regressions")).unwrap();
         std::fs::write(
             dir.join("proptest-regressions/my_suite.txt"),

@@ -1374,13 +1374,11 @@ fn bench_gate(args: &[String]) -> Result<String, String> {
         ("trace_overhead_ratio", false),
         ("trace_reconcile_ok", true),
         ("trace_fsync_dominant", true),
-        // E20 optimistic reads: multi-reader throughput scaling, served
-        // read throughput vs the locked build, and read independence from
-        // concurrent Strict ingest must not collapse. (`read_opt_vs_locked`
-        // is reported but not ratio-gated: on small hosts it measures
-        // scheduler luck more than code — the exact lock-wait gate below
-        // is the deterministic guard.)
+        // E20 reads: multi-reader throughput scaling, view reads vs
+        // shard-lock reads in process and served, and read independence
+        // from concurrent Strict ingest must not collapse.
         ("read_scaling_ratio", true),
+        ("read_opt_vs_locked", true),
         ("serve_read_ratio", true),
         ("read_independence_ratio", true),
     ];
@@ -1454,7 +1452,8 @@ fn bench_gate(args: &[String]) -> Result<String, String> {
              max_accesses, pool_wall_ratio, core_wall_ratio, wal_wall_ratio, p99_speedup, \
              serve_group_commit, serve_fsync_amortization, trace_overhead_ratio, \
              trace_reconcile_ok, trace_fsync_dominant, read_scaling_ratio, \
-             serve_read_ratio, read_independence_ratio, max_accesses_<scenario>, \
+             read_opt_vs_locked, serve_read_ratio, read_independence_ratio, \
+             max_accesses_<scenario>, \
              get_lock_wait_p50) appear \
              in both `{baseline_path}` and `{candidate_path}`"
         ));

@@ -68,7 +68,7 @@ pub use dsf_btree::{BPlusTree, BTreeConfig};
 pub use dsf_concurrent::ShardedFile;
 pub use dsf_core::{
     Algorithm, Command, CommandOutcome, DenseFile, DenseFileConfig, DsfError, InvariantViolation,
-    MacroBlocking, ReadConflict, ReadView, READ_MAX_ATTEMPTS,
+    MacroBlocking, ReadView,
 };
 pub use dsf_durable::{Durability, DurableFile, SyncPolicy};
 pub use dsf_pagestore::{disk::DiskModel, IoStats, Record};

@@ -126,12 +126,7 @@ proptest! {
 /// application produces.
 #[test]
 fn durable_apply_batch_survives_reopen() {
-    let dir = std::env::temp_dir().join(format!(
-        "dsf-batch-eq-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = dsf_durable::unique_temp_path("dsf-batch-eq");
 
     let mut durable: DurableFile<u16, u8> =
         DurableFile::create(&dir, cfg(), SyncPolicy::EveryCommand).unwrap();

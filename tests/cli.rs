@@ -17,7 +17,7 @@ fn stdout(out: &Output) -> String {
 }
 
 fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dsf-cli-{tag}-{}", std::process::id()));
+    let dir = dsf_durable::unique_temp_path(&format!("dsf-cli-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }

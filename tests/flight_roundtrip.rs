@@ -129,6 +129,7 @@ proptest! {
     /// Arbitrary event sequences survive encode → `.flight` bytes →
     /// decode exactly, and the decoded log replays to identical
     /// attribution (including the audit verdicts).
+    #[test]
     fn flight_log_round_trips(
         events in prop::collection::vec(arb_event(), 0..120),
         budget in arb_budget(),
@@ -163,6 +164,7 @@ proptest! {
     /// The byte-budget ring never tears a frame: whatever capacity forces
     /// it to drop, the retained snapshot is exactly the newest suffix of
     /// what was pushed, and retained + dropped = total.
+    #[test]
     fn flight_ring_drops_whole_frames_oldest_first(
         events in prop::collection::vec(arb_event(), 1..80),
         capacity in 32usize..512,
@@ -181,6 +183,7 @@ proptest! {
     /// For well-formed command traces (begin, per-phase accesses, end) the
     /// attribution recovers exactly the per-phase page sums this test
     /// computed on the way in — per command and in total.
+    #[test]
     fn attribution_recovers_per_phase_sums(
         commands in prop::collection::vec(
             (any::<bool>(), 0u64..64, prop::collection::vec((arb_phase(), 1u64..10), 0..12)),

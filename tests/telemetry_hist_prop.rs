@@ -19,6 +19,7 @@ proptest! {
     /// Replaying one access stream into both sides yields identical
     /// count/sum/max and bucket-for-bucket equality; the rendered
     /// cumulative `le` buckets re-sum to the flat counts.
+    #[test]
     fn histogram_reconciles_with_op_stats(accesses in prop::collection::vec(0u64..100_000, 0..300)) {
         let reg = Registry::new();
         reg.enable();
@@ -52,6 +53,7 @@ proptest! {
     /// Merging two OpStats streams matches recording their concatenation
     /// into one telemetry histogram — merge() is the per-shard
     /// aggregation the sharded wrapper relies on.
+    #[test]
     fn merged_op_stats_matches_concatenated_histogram(
         left in prop::collection::vec(0u64..50_000, 0..150),
         right in prop::collection::vec(0u64..50_000, 0..150),

@@ -7,9 +7,12 @@
 //! isolation we need).
 
 use willard_dsf::pagestore::{AsyncBackend, BufferPool, MemBackend};
+use willard_dsf::server::service::KvCommand;
+use willard_dsf::server::DurableKv;
 use willard_dsf::telemetry;
 use willard_dsf::{
-    Command, DenseFile, DenseFileConfig, Durability, DurableFile, SyncPolicy, READ_MAX_ATTEMPTS,
+    Command, DenseFile, DenseFileConfig, Durability, DurableFile, KvService, ShardedFile,
+    SyncPolicy,
 };
 
 #[test]
@@ -119,8 +122,7 @@ fn global_spine_mirrors_op_stats_and_exports_valid_prometheus() {
     // Group commit: a durable file fed the same batches must observe one
     // `dsf_wal_group_commit_frames` entry per batch, whose sum is exactly
     // the number of effective (frame-producing) commands.
-    let dir = std::env::temp_dir().join(format!("dsf-tel-reconcile-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = dsf_durable::unique_temp_path("dsf-tel-reconcile");
     let mut df: DurableFile<u64, u64> = DurableFile::create(
         &dir,
         DenseFileConfig::control2(64, 6, 8),
@@ -178,8 +180,7 @@ fn global_spine_mirrors_op_stats_and_exports_valid_prometheus() {
     // 8, the explicit sync closes the 2-frame remainder — three window
     // fsyncs covering every effective command exactly once.
     reg.enable();
-    let wdir = std::env::temp_dir().join(format!("dsf-tel-window-{}", std::process::id()));
-    std::fs::remove_dir_all(&wdir).ok();
+    let wdir = dsf_durable::unique_temp_path("dsf-tel-window");
     let mut wf: DurableFile<u64, u64> = DurableFile::create(
         &wdir,
         DenseFileConfig::control2(64, 6, 8),
@@ -205,55 +206,117 @@ fn global_spine_mirrors_op_stats_and_exports_valid_prometheus() {
         "every frame durable in exactly one window"
     );
 
-    // ----- optimistic-read counters reconcile exactly -----
-    // The read path accounts for itself unsampled: a read that validates on
-    // its first attempt is one hit and nothing else; a read that loses the
-    // epoch race every attempt burns exactly READ_MAX_ATTEMPTS - 1 retries
-    // plus one fallback and is never a hit.
+    // ----- read-path counters reconcile exactly -----
+    // The read path accounts for itself unsampled: a read answered from a
+    // published generation is one hit, a read answered under the file's
+    // lock (view off) is one fallback, and every publication — one per
+    // command that dirtied a slot — is one write-lock hold-time sample.
     reg.enable();
     let mut of: DenseFile<u64, u64> = DenseFile::new(DenseFileConfig::control2(64, 6, 8)).unwrap();
     let n = 40u64;
     let rstride = u64::MAX / (n + 1);
     of.bulk_load((0..n).map(|i| (i * rstride, i))).unwrap();
-    let view = of.enable_optimistic_reads();
     let hits = reg.counter("dsf_read_optimistic_hits", "");
-    let retries = reg.counter("dsf_read_retries", "");
     let fallbacks = reg.counter("dsf_read_fallbacks", "");
-    let (h0, r0, f0) = (hits.get(), retries.get(), fallbacks.get());
+    let holds = reg.histogram("dsf_read_publish_hold_ns", "");
+    let (h0, f0, p0) = (hits.get(), fallbacks.get(), holds.count());
 
-    // Quiescent file: every get — present key or definitive miss — and the
-    // range collection validate first try.
+    // View off: the optimistic entry points take the direct path, and
+    // each such read is one fallback.
+    assert_eq!(of.get_optimistic(&0), Some(0));
+    assert_eq!(of.scan_optimistic(..=3 * rstride).len(), 4);
+    assert_eq!(hits.get(), h0, "no view, no hits");
+    assert_eq!(fallbacks.get(), f0 + 2, "one fallback per locked read");
+
+    // View on: every get (present key or definitive miss), bounded scan,
+    // range collection and snapshot is one hit, and none falls back.
+    let view = of.enable_optimistic_reads();
     for i in 0..n {
-        assert_eq!(view.try_get(&(i * rstride)).unwrap(), Some(i));
+        assert_eq!(view.get(&(i * rstride)), Some(i));
     }
-    assert_eq!(view.try_get(&(rstride / 2)).unwrap(), None);
-    let range = view
-        .try_collect_range(
-            std::ops::Bound::Included(0),
-            std::ops::Bound::Included(3 * rstride),
+    assert_eq!(view.get(&(rstride / 2)), None);
+    assert_eq!(view.collect_range(0..=3 * rstride, usize::MAX).len(), 4);
+    assert_eq!(view.scan(&rstride, 2).len(), 2);
+    assert_eq!(of.get_optimistic(&rstride), Some(1));
+    assert_eq!(of.scan_optimistic(..).len() as u64, n);
+    assert!(!view.snapshot_bytes().is_empty());
+    assert_eq!(hits.get(), h0 + n + 6, "one hit per view read");
+    assert_eq!(fallbacks.get(), f0 + 2, "view reads never fall back");
+
+    // Publications: enabling the view publishes nothing; every command
+    // that changes the file publishes once, and a miss changes nothing.
+    assert_eq!(holds.count(), p0, "enabling is not a publication");
+    let m = 7u64;
+    for i in 0..m {
+        of.insert(i * rstride + 1, i).unwrap();
+    }
+    assert_eq!(of.remove(&1), Some(0));
+    assert_eq!(of.remove(&2), None);
+    assert_eq!(holds.count(), p0 + m + 1, "one sample per publication");
+
+    // The served store: reads through the generations are hits; with the
+    // view switched off the same reads take the shard locks and fall back
+    // (a scan once per shard it visits). `len` reads the generations and
+    // counts as neither.
+    let kdir = dsf_durable::unique_temp_path("dsf-tel-kv");
+    let kv = DurableKv::create(
+        &kdir,
+        2,
+        DenseFileConfig::control2(64, 6, 8),
+        SyncPolicy::Manual,
+    )
+    .unwrap();
+    let keys = [5u64, u64::MAX / 2 + 5, u64::MAX - 5];
+    for &k in &keys {
+        let cmd: KvCommand = Command::Insert(k, format!("v{k}"));
+        kv.apply_batch(
+            kv.shard_of(k),
+            &[cmd],
+            Durability::Relaxed,
+            &mut |_, _, _| {},
         )
         .unwrap();
-    assert_eq!(range.len(), 4);
-    assert_eq!(hits.get(), h0 + n + 2, "one hit per validated read");
-    assert_eq!(retries.get(), r0, "quiescent reads never retry");
-    assert_eq!(fallbacks.get(), f0, "quiescent reads never fall back");
-
-    // Poisoned epoch: a permanently odd epoch fails every attempt, so each
-    // read's accounting is deterministic — no sampling, no slack.
-    view.poison_epoch_for_test();
-    let m = 7u64;
-    for _ in 0..m {
-        assert!(view.try_get(&0).is_err(), "poisoned epoch must conflict");
     }
-    view.unpoison_epoch_for_test();
-    assert_eq!(hits.get(), h0 + n + 2, "fallbacks are not hits");
-    assert_eq!(retries.get(), r0 + m * u64::from(READ_MAX_ATTEMPTS - 1));
-    assert_eq!(fallbacks.get(), f0 + m, "one fallback per abandoned read");
+    let (h1, f1) = (hits.get(), fallbacks.get());
+    for optimistic in [true, false] {
+        kv.set_optimistic_reads(optimistic);
+        for &k in &keys {
+            assert_eq!(kv.get(k), Some(format!("v{k}")));
+        }
+        assert_eq!(kv.get(6), None);
+        assert_eq!(kv.scan(0, 10).len(), 3, "scan visits both shards");
+        assert_eq!(kv.scan(u64::MAX - 5, 10).len(), 1, "scan visits one shard");
+        assert_eq!(kv.len(), 3);
+    }
+    assert_eq!(hits.get(), h1 + 4 + 3, "served reads through the view");
+    assert_eq!(fallbacks.get(), f1 + 4 + 3, "served reads under the lock");
+    std::fs::remove_dir_all(&kdir).ok();
 
-    // Recovery: the first read after unpoisoning is an ordinary hit.
-    assert_eq!(view.try_get(&0).unwrap(), Some(0));
+    // The sharded file: one outcome per shard read. A limited sequential
+    // collection stops at the first shard that fills it; the parallel one
+    // reads every shard in its range.
+    let stripe = u64::MAX / 4 + 1;
+    let skeys: Vec<u64> = (0..4u64).map(|s| s * stripe + 10).collect();
+    for views in [false, true] {
+        let sf: ShardedFile<u64> =
+            ShardedFile::new(4, DenseFileConfig::control2(64, 8, 40)).unwrap();
+        for &k in &skeys {
+            sf.insert(k, k).unwrap();
+        }
+        if views {
+            sf.enable_optimistic_reads();
+        }
+        let (h2, f2) = (hits.get(), fallbacks.get());
+        for &k in &skeys {
+            assert_eq!(sf.get(&k), Some(k));
+        }
+        assert_eq!(sf.get(&11), None);
+        assert_eq!(sf.collect_range(stripe, u64::MAX, usize::MAX).len(), 3);
+        assert_eq!(sf.collect_range(stripe, u64::MAX, 1).len(), 1);
+        assert_eq!(sf.par_collect_range(0, u64::MAX, 2).len(), 2);
+        let reads = 5 + 3 + 1 + 4;
+        let (dh, df) = (hits.get() - h2, fallbacks.get() - f2);
+        assert_eq!((dh, df), if views { (reads, 0) } else { (0, reads) });
+    }
     reg.disable();
-    assert_eq!(hits.get(), h0 + n + 3);
-    assert_eq!(retries.get(), r0 + m * u64::from(READ_MAX_ATTEMPTS - 1));
-    assert_eq!(fallbacks.get(), f0 + m);
 }
